@@ -485,19 +485,12 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
             .map_err(|e| err(format!("writing {path}: {e}")))?;
     }
 
-    let digest = match runner.stream() {
-        Some(s) => {
-            let snap = s
-                .snapshot()
-                .map_err(|e| err(format!("reading spool: {e}")))?;
-            cenn::serve::snapshot_digest(&snap)
-        }
-        None => cenn::serve::state_digest(runner.sim()),
-    };
-    let time = match runner.stream() {
-        Some(s) => s.time(),
-        None => runner.sim().time(),
-    };
+    let live = runner.live();
+    let snap = live
+        .try_snapshot()
+        .map_err(|e| err(format!("reading spool: {e}")))?;
+    let digest = cenn::serve::snapshot_digest(&snap);
+    let time = live.time();
 
     let mut out = String::new();
     writeln!(
@@ -514,15 +507,15 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
     if threads > 1 {
         writeln!(out, "worker threads: {threads}").unwrap();
     }
-    if let (Some(budget), Some(s)) = (opts.memory_budget, runner.stream()) {
+    if let Some(budget) = opts.memory_budget {
         writeln!(
             out,
             "memory budget: {budget} bytes -> {} chunk rows, {} windows; \
              peak resident {} bytes, spilled {} bytes",
-            s.chunk_rows(),
-            s.n_windows(),
-            s.peak_resident_bytes(),
-            s.spill_bytes()
+            live.chunk_rows(),
+            live.n_windows(),
+            live.peak_resident_bytes(),
+            live.spill_bytes()
         )
         .unwrap();
     }

@@ -63,6 +63,6 @@ pub use exec::{ExecEngine, StepStats, Tile, TilePlan};
 pub use grid::{Grid, LayerView, SoaGrid};
 pub use layer::{LayerId, LayerKind, LayerSpec};
 pub use model::{CennModel, CennModelBuilder, Integrator, LutConfig, TemplateKind};
-pub use sim::{CennSim, FuncEval, SimSnapshot, StepReport};
+pub use sim::{AnySim, CennSim, FuncEval, Sim, SimSnapshot, StepReport};
 pub use stream::{StreamConfig, StreamError, StreamSim};
 pub use template::{Factor, Stencil, Template, WeightExpr};

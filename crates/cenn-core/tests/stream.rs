@@ -6,8 +6,8 @@
 use std::path::PathBuf;
 
 use cenn_core::{
-    mapping, Boundary, CennModelBuilder, CennSim, Factor, Grid, Integrator, LayerId, StreamConfig,
-    StreamSim, Template, WeightExpr,
+    mapping, Boundary, CennModelBuilder, CennSim, Factor, FuncEval, Grid, Integrator, LayerId,
+    StreamConfig, StreamSim, Template, WeightExpr,
 };
 use proptest::prelude::*;
 
@@ -243,6 +243,57 @@ fn memory_budget_bounds_the_resident_window() {
     reference.run(3);
     assert_eq!(
         streamed.snapshot().unwrap().states,
+        reference.snapshot().states
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A tanh-damped model whose LUT evaluation visibly differs from exact
+/// evaluation, so a resume on the wrong mode shows in the states.
+fn tanh_sim(rows: usize, cols: usize, eval: FuncEval) -> CennSim {
+    let mut b = CennModelBuilder::new(rows, cols);
+    let u = b.dynamic_layer("u", Boundary::ZeroFlux);
+    let th = b.register_func(cenn_lut::funcs::tanh());
+    b.state_template(u, u, mapping::laplacian(0.2, 1.0).into_state_template());
+    b.offset_expr(
+        u,
+        WeightExpr::product(0.8, vec![Factor { func: th, layer: u }]),
+    );
+    let mut sim = CennSim::with_eval(b.build(0.05).unwrap(), eval).unwrap();
+    sim.set_state_f64(
+        u,
+        &Grid::from_fn(rows, cols, |r, c| 0.37 * ((r * cols + c) % 7) as f64 - 1.1),
+    )
+    .unwrap();
+    sim
+}
+
+#[test]
+fn exact_mode_spool_recovers_in_exact_mode() {
+    let (rows, cols) = (10, 6);
+    let mut lut = tanh_sim(rows, cols, FuncEval::Lut);
+    let mut reference = tanh_sim(rows, cols, FuncEval::Exact);
+    let dir = spool_dir("exact", 0);
+    let cfg = StreamConfig::new(&dir).with_chunk_rows(3);
+    let mut streamed = StreamSim::from_sim(&reference, cfg.clone()).unwrap();
+    assert_eq!(streamed.eval_mode(), FuncEval::Exact);
+    lut.run(6);
+    reference.run(6);
+    assert_ne!(
+        lut.snapshot().states,
+        reference.snapshot().states,
+        "the model must tell LUT from exact evaluation"
+    );
+    streamed.run(2).unwrap();
+    // Kill mid-step: 2 of 4 windows into step 3.
+    streamed.step_windows(2).unwrap();
+    let model = reference.model().clone();
+    drop(streamed);
+    let mut recovered = StreamSim::recover(model, cfg).unwrap();
+    assert_eq!(recovered.eval_mode(), FuncEval::Exact);
+    recovered.run(4).unwrap();
+    assert_eq!(
+        recovered.snapshot().unwrap().states,
         reference.snapshot().states
     );
     let _ = std::fs::remove_dir_all(&dir);

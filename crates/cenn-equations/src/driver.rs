@@ -1,11 +1,11 @@
 //! Executes a benchmark setup on the fixed-point functional simulator.
 
 use cenn_core::{
-    CennSim, FuncEval, Grid, LayerId, ModelError, StreamConfig, StreamError, StreamSim,
+    AnySim, CennSim, FuncEval, Grid, LayerId, ModelError, StreamConfig, StreamError, StreamSim,
 };
 use cenn_lut::LutStats;
 
-use crate::system::SystemSetup;
+use crate::system::{PostStepRule, SystemSetup};
 
 /// Drives a [`SystemSetup`] on the hardware-accurate fixed-point simulator,
 /// applying initial conditions, external inputs, and the post-step rule
@@ -106,15 +106,32 @@ impl FixedRunner {
         self.stream.as_ref()
     }
 
-    /// The underlying simulator.
+    /// The underlying in-core simulator. Once a memory budget is set it
+    /// keeps the state the streamed engine was spooled from.
     pub fn sim(&self) -> &CennSim {
         &self.sim
     }
 
-    /// Mutable access to the underlying simulator (fault injection,
-    /// mid-run state edits).
+    /// Mutable access to the underlying in-core simulator (fault
+    /// injection, mid-run state edits).
     pub fn sim_mut(&mut self) -> &mut CennSim {
         &mut self.sim
+    }
+
+    /// The engine holding the live state: the streamed one once a memory
+    /// budget is set, the in-core one otherwise.
+    pub fn live(&self) -> &AnySim {
+        match &self.stream {
+            Some(s) => s,
+            None => &self.sim,
+        }
+    }
+
+    fn live_mut(&mut self) -> &mut AnySim {
+        match &mut self.stream {
+            Some(s) => s,
+            None => &mut self.sim,
+        }
     }
 
     /// The setup this runner executes.
@@ -126,17 +143,12 @@ impl FixedRunner {
     /// Results are bit-identical for any count.
     pub fn set_threads(&mut self, threads: usize) {
         self.sim.set_threads(threads);
-        if let Some(stream) = &mut self.stream {
-            stream.set_threads(threads);
-        }
+        self.live_mut().set_threads(threads);
     }
 
     /// Steps executed so far.
     pub fn steps(&self) -> u64 {
-        match &self.stream {
-            Some(s) => s.steps(),
-            None => self.sim.steps(),
-        }
+        self.live().steps()
     }
 
     /// Advances one step and applies the post-step rule; returns the number
@@ -147,31 +159,15 @@ impl FixedRunner {
     /// In streamed mode, on spool I/O failure (the journal still reflects
     /// the last completed window, so the spool remains recoverable).
     pub fn step(&mut self) -> usize {
-        if let Some(stream) = &mut self.stream {
-            stream.step().expect("streamed step: spool I/O failed");
-            return 0; // post-step rules are rejected in streamed mode
-        }
-        self.sim.step();
-        match self.setup.post_step {
-            None => 0,
-            Some(rule) => {
-                // Apply the reset on the fixed-point states: read, clip,
-                // write back (the hardware comparator does this in place).
-                let n = self.sim.model().n_layers();
-                let mut states: Vec<Grid<f64>> = (0..n)
-                    .map(|i| self.sim.state_f64(LayerId::from_index(i)))
-                    .collect();
-                let fired = rule.apply_f64(&mut states);
-                if fired > 0 {
-                    for (i, g) in states.iter().enumerate() {
-                        self.sim
-                            .set_state_f64(LayerId::from_index(i), g)
-                            .expect("shape preserved");
-                    }
-                }
-                fired
-            }
-        }
+        self.live_mut()
+            .try_step()
+            .expect("streamed step: spool I/O failed");
+        // Post-step rules are rejected in streamed mode, so a rule always
+        // applies to the in-core state.
+        let Some(rule) = self.setup.post_step else {
+            return 0;
+        };
+        apply_rule(rule, &mut self.sim)
     }
 
     /// Runs `n` steps; returns total fired cells.
@@ -201,16 +197,8 @@ impl FixedRunner {
         );
         let Self { sim, setup, .. } = self;
         guard.run_with(sim, n, |sim| {
-            let Some(rule) = setup.post_step else { return };
-            let n_layers = sim.model().n_layers();
-            let mut states: Vec<Grid<f64>> = (0..n_layers)
-                .map(|i| sim.state_f64(LayerId::from_index(i)))
-                .collect();
-            if rule.apply_f64(&mut states) > 0 {
-                for (i, g) in states.iter().enumerate() {
-                    sim.set_state_f64(LayerId::from_index(i), g)
-                        .expect("shape preserved");
-                }
+            if let Some(rule) = setup.post_step {
+                apply_rule(rule, sim);
             }
         })
     }
@@ -221,10 +209,9 @@ impl FixedRunner {
     ///
     /// In streamed mode, on spool read failure.
     pub fn state_f64(&self, layer: LayerId) -> Grid<f64> {
-        match &self.stream {
-            Some(s) => s.state_f64(layer).expect("streamed state: spool read"),
-            None => self.sim.state_f64(layer),
-        }
+        self.live()
+            .try_state_f64(layer)
+            .expect("streamed state: spool read")
     }
 
     /// The observed layers' states with their display names (the maps the
@@ -239,32 +226,24 @@ impl FixedRunner {
 
     /// Cumulative LUT statistics.
     pub fn lut_stats(&self) -> LutStats {
-        match &self.stream {
-            Some(s) => s.lut_stats(),
-            None => self.sim.lut_stats(),
-        }
+        self.live().lut_stats()
     }
 
     /// Measured `(mr_L1, mr_L2)`.
     pub fn miss_rates(&self) -> (f64, f64) {
-        match &self.stream {
-            Some(s) => s.miss_rates(),
-            None => self.sim.miss_rates(),
-        }
+        self.live().miss_rates()
     }
 
     /// Resets LUT statistics (after warm-up).
     pub fn reset_lut_stats(&mut self) {
-        self.sim.reset_lut_stats();
+        self.live_mut().reset_lut_stats();
     }
 
-    /// Attaches a metric recorder to the underlying simulator: every step
-    /// emits a [`cenn_obs::StepMetrics`] event through it.
+    /// Attaches a metric recorder to the simulator: every step emits a
+    /// [`cenn_obs::StepMetrics`] event through it.
     pub fn set_recorder(&mut self, recorder: cenn_obs::RecorderHandle) {
-        if let Some(stream) = &mut self.stream {
-            stream.set_recorder(recorder.clone());
-        }
-        self.sim.set_recorder(recorder);
+        self.sim.set_recorder(recorder.clone());
+        self.live_mut().set_recorder(recorder);
     }
 
     /// The attached recorder, if any.
@@ -277,20 +256,15 @@ impl FixedRunner {
     /// measured `peak_resident_bytes` / `spill_bytes` of the window
     /// engine.
     pub fn record_summary(&self) {
-        match &self.stream {
-            Some(s) => s.record_summary(),
-            None => self.sim.record_summary(),
-        }
+        self.live().record_summary();
     }
 
-    /// Attaches a span tracer to the underlying simulator: sweeps record
+    /// Attaches a span tracer to the simulator: sweeps record
     /// phase-attributed spans (`lut_lookup`, `template_apply`,
     /// `integrate`, `halo_sync`) into its histograms.
     pub fn set_tracer(&mut self, tracer: cenn_obs::TraceHandle) {
-        if let Some(stream) = &mut self.stream {
-            stream.set_tracer(tracer.clone());
-        }
-        self.sim.set_tracer(tracer);
+        self.sim.set_tracer(tracer.clone());
+        self.live_mut().set_tracer(tracer);
     }
 
     /// The attached tracer, if any.
@@ -301,11 +275,26 @@ impl FixedRunner {
     /// Emits one `span_summary` event per active phase (no-op without
     /// both a tracer and an enabled recorder).
     pub fn record_span_summaries(&self) {
-        match &self.stream {
-            Some(s) => s.record_span_summaries(),
-            None => self.sim.record_span_summaries(),
+        self.live().record_span_summaries();
+    }
+}
+
+/// Applies a post-step rule to the in-core fixed-point states — read,
+/// clip, write back, as the hardware comparator does in place; returns
+/// the cells it fired on.
+fn apply_rule(rule: PostStepRule, sim: &mut CennSim) -> usize {
+    let n = sim.model().n_layers();
+    let mut states: Vec<Grid<f64>> = (0..n)
+        .map(|i| sim.state_f64(LayerId::from_index(i)))
+        .collect();
+    let fired = rule.apply_f64(&mut states);
+    if fired > 0 {
+        for (i, g) in states.iter().enumerate() {
+            sim.set_state_f64(LayerId::from_index(i), g)
+                .expect("shape preserved");
         }
     }
+    fired
 }
 
 #[cfg(test)]
@@ -358,6 +347,36 @@ mod tests {
                 assert_eq!(a.get(r, c).to_bits(), b.get(r, c).to_bits());
             }
         }
+        assert_eq!(in_core.lut_stats(), streamed.lut_stats());
+        let _ = std::fs::remove_dir_all(&spool);
+    }
+
+    #[test]
+    fn reset_lut_stats_acts_on_the_streamed_engine() {
+        use crate::Fisher;
+        let sys = Fisher::default();
+        let mut in_core = FixedRunner::new(sys.build(16, 12).unwrap()).unwrap();
+        let mut streamed = FixedRunner::new(sys.build(16, 12).unwrap()).unwrap();
+        let spool = std::env::temp_dir().join(format!("cenn_runner_reset_{}", std::process::id()));
+        streamed.set_memory_budget(8 * 1024, &spool).unwrap();
+        in_core.run(4);
+        streamed.run(4);
+        assert!(streamed.lut_stats().accesses > 0);
+        streamed.reset_lut_stats();
+        assert_eq!(streamed.lut_stats(), LutStats::default());
+        in_core.reset_lut_stats();
+        let bits = |r: &FixedRunner| -> Vec<u64> {
+            let g = r.state_f64(LayerId::from_index(0));
+            g.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(
+            bits(&in_core),
+            bits(&streamed),
+            "the reset leaves states alone"
+        );
+        in_core.run(3);
+        streamed.run(3);
+        assert_eq!(bits(&in_core), bits(&streamed));
         assert_eq!(in_core.lut_stats(), streamed.lut_stats());
         let _ = std::fs::remove_dir_all(&spool);
     }

@@ -566,7 +566,10 @@ mod tests {
             snap.counter("guard.checkpoints_total"),
             Some(report.checkpoints)
         );
-        assert_eq!(snap.counter("guard.rollbacks_total"), Some(report.rollbacks));
+        assert_eq!(
+            snap.counter("guard.rollbacks_total"),
+            Some(report.rollbacks)
+        );
         assert_eq!(
             snap.counter("guard.faults_injected_total"),
             Some(report.faults_injected)

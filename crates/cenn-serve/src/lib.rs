@@ -80,7 +80,7 @@ pub use client::{Client, ClientError, Deadlines, RetryClient, RetryPolicy};
 pub use digest::{snapshot_digest, state_digest};
 pub use fleet::{run_fleet, FleetConfig, FleetEntry, FleetError, FleetReport};
 pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME_LEN};
-pub use manager::{ManagerConfig, RecoveryReport, ServeError, SessionManager};
+pub use manager::{grid_fits_frame, ManagerConfig, RecoveryReport, ServeError, SessionManager};
 pub use proto::{ErrorCode, Request, Response, SessionStat, StatsSnapshot, PROTO_VERSION};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use spool::{Manifest, ManifestEntry, QuarantineReason, SpoolError};

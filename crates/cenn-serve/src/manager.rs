@@ -42,6 +42,7 @@ use cenn_obs::{
 };
 
 use crate::digest::state_digest;
+use crate::frame::MAX_FRAME_LEN;
 use crate::proto::{ErrorCode, Response};
 use crate::spool::{self, Manifest, ManifestEntry, QuarantineReason};
 
@@ -594,7 +595,9 @@ impl SessionManager {
             self.cfg.metrics.observe(self.m.quantum_nanos, dur_nanos);
             self.cfg.metrics.inc(self.m.quanta, 1);
             self.cfg.metrics.inc(self.m.steps, quantum);
-            self.cfg.metrics.gauge_add(self.m.queue_depth, -(quantum as i64));
+            self.cfg
+                .metrics
+                .gauge_add(self.m.queue_depth, -(quantum as i64));
             if corr != 0 {
                 if let Some(tracer) = &self.cfg.tracer {
                     let end = tracer.now_nanos();
@@ -653,7 +656,8 @@ impl SessionManager {
     /// # Errors
     ///
     /// [`ErrorCode::UnknownSystem`] for names outside the registry,
-    /// [`ErrorCode::BadRequest`] for a zero-sized grid,
+    /// [`ErrorCode::BadRequest`] for a zero-sized grid or one whose state
+    /// could not be streamed back in one frame (see [`grid_fits_frame`]),
     /// [`ErrorCode::ShuttingDown`] once shutdown has begun,
     /// [`ErrorCode::Overloaded`] while the live-session count is at
     /// `max_sessions` (load shedding, retryable), and
@@ -679,6 +683,12 @@ impl SessionManager {
             return Err(ServeError::new(
                 ErrorCode::BadRequest,
                 format!("grid {rows}x{cols} has no cells"),
+            ));
+        }
+        if !grid_fits_frame(rows, cols) {
+            return Err(ServeError::new(
+                ErrorCode::BadRequest,
+                format!("grid {rows}x{cols} is too large: one layer would not fit in a frame"),
             ));
         }
         let sys = system_by_name(system).ok_or_else(|| {
@@ -1309,10 +1319,57 @@ impl SessionManager {
     }
 }
 
+/// `true` if one layer of a `rows × cols` grid fits in a single
+/// [`Response::State`] frame — the largest grid a session may hold, so a
+/// submit can never ask the server for more memory than its own replies
+/// could carry.
+pub fn grid_fits_frame(rows: u32, cols: u32) -> bool {
+    let empty = Response::State {
+        session: 0,
+        layer: 0,
+        rows,
+        cols,
+        bits: Vec::new(),
+    };
+    let room = MAX_FRAME_LEN.saturating_sub(empty.encode_with_id(0).len()) as u64;
+    u64::from(rows) * u64::from(cols) <= room / 4
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    #[test]
+    fn grid_bound_sits_exactly_at_the_frame_limit() {
+        let header = Response::State {
+            session: 0,
+            layer: 0,
+            rows: 1,
+            cols: 1,
+            bits: Vec::new(),
+        }
+        .encode_with_id(0)
+        .len();
+        let max_cells = ((MAX_FRAME_LEN - header) / 4) as u32;
+        assert!(grid_fits_frame(1, max_cells));
+        assert!(!grid_fits_frame(1, max_cells + 1));
+        assert!(grid_fits_frame(max_cells, 1));
+        assert!(!grid_fits_frame(max_cells + 1, 1));
+        // The largest state a full frame can carry really does encode
+        // within the limit.
+        let full = Response::State {
+            session: u64::MAX,
+            layer: 0,
+            rows: 1,
+            cols: max_cells,
+            bits: vec![0; max_cells as usize],
+        };
+        assert!(full.encode_with_id(u64::MAX).len() <= MAX_FRAME_LEN);
+        assert!(grid_fits_frame(1024, 1024));
+        assert!(!grid_fits_frame(2048, 2048));
+        assert!(!grid_fits_frame(u32::MAX, u32::MAX));
+    }
 
     fn spool(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("cenn-serve-mgr-{tag}-{}", std::process::id()));

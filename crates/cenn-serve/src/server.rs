@@ -302,9 +302,7 @@ impl Server {
             if write_frame(&mut stream, &resp.encode_with_id(req_id)).is_err() {
                 return stop;
             }
-            self.manager
-                .metrics()
-                .inc_name("serve.frames_out_total", 1);
+            self.manager.metrics().inc_name("serve.frames_out_total", 1);
             if stop {
                 return true;
             }

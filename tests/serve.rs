@@ -135,6 +135,25 @@ fn full_session_lifecycle_over_loopback() {
 }
 
 #[test]
+fn oversized_grid_is_refused_and_the_connection_stays_usable() {
+    let spool = scratch("oversized");
+    let server = Server::start(ServerConfig::new(1, &spool)).unwrap();
+    let mut client = connect(&server);
+    for (rows, cols) in [(65535, 65535), (1, u32::MAX), (4096, 1024)] {
+        assert!(!cenn::serve::grid_fits_frame(rows, cols));
+        match client.submit("fisher", rows, cols).unwrap_err() {
+            ClientError::Server { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
+            other => panic!("expected typed server error, got {other}"),
+        }
+    }
+    client.ping().unwrap();
+    let session = client.submit("fisher", 8, 8).unwrap();
+    assert_eq!(client.step(session, 3).unwrap().0, 3);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+#[test]
 fn fleet_digests_are_invariant_to_workers_and_reruns() {
     let cfg = FleetConfig {
         sessions: 8,
