@@ -285,9 +285,6 @@ pub trait RowStore: std::fmt::Debug {
     fn lut_counters(&self) -> &'static str {
         "exact"
     }
-
-    /// Pushes the store's own instruments at the end of a run.
-    fn publish(&self) {}
 }
 
 /// The buffers one window is swept through, lent by its [`RowStore`].
@@ -1171,7 +1168,6 @@ impl<S: RowStore + ?Sized> Sim<S> {
             spill_bytes: self.spill_bytes(),
             lut_counters: self.lut_counters_mode().into(),
         }));
-        self.store.publish();
     }
 
     /// Cumulative LUT statistics (the trace the cycle model consumes).

@@ -45,7 +45,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use cenn_obs::{CounterId, GaugeId, MetricsHub, Phase};
+use cenn_obs::Phase;
 use fixedpt::Q16_16;
 
 use crate::error::ModelError;
@@ -340,31 +340,6 @@ pub struct SpoolStore {
     peak_resident: u64,
     spill_bytes: u64,
     fill_bytes: u64,
-    metrics: Option<StreamMetrics>,
-}
-
-/// Registered instrument ids for [`StreamSim::set_metrics`].
-#[derive(Debug)]
-struct StreamMetrics {
-    hub: MetricsHub,
-    windows: CounterId,
-    spill: GaugeId,
-    fill: GaugeId,
-    peak: GaugeId,
-}
-
-impl SpoolStore {
-    /// Pushes the cumulative I/O gauges (and `swept` freshly completed
-    /// windows) into the attached hub; no-op without one.
-    fn publish_metrics(&self, swept: u64) {
-        let Some(m) = &self.metrics else { return };
-        if swept > 0 {
-            m.hub.inc(m.windows, swept);
-        }
-        m.hub.gauge_set(m.spill, self.spill_bytes as i64);
-        m.hub.gauge_set(m.fill, self.fill_bytes as i64);
-        m.hub.gauge_max(m.peak, self.peak_resident as i64);
-    }
 }
 
 impl RowStore for SpoolStore {
@@ -443,9 +418,7 @@ impl RowStore for SpoolStore {
             let stream = parity_stream(core.steps + 1);
             write_window(spool, wstage, core, stream, w, next, &self.out_buf)?
         };
-        self.journal.append(&format!("win {pass} {w}"))?;
-        self.publish_metrics(1);
-        Ok(())
+        self.journal.append(&format!("win {pass} {w}"))
     }
 
     fn end_step(&mut self, core: &Core) -> Result<(), StreamError> {
@@ -498,10 +471,6 @@ impl RowStore for SpoolStore {
         } else {
             "exact"
         }
-    }
-
-    fn publish(&self) {
-        self.publish_metrics(0);
     }
 }
 
@@ -774,7 +743,6 @@ impl StreamSim {
             peak_resident: 0,
             spill_bytes: 0,
             fill_bytes: 0,
-            metrics: None,
         };
         Ok(Self { core, store })
     }
@@ -788,21 +756,6 @@ impl StreamSim {
     /// fills plus the Heun corrector's `x₀`/`k₁` re-reads.
     pub fn fill_bytes(&self) -> u64 {
         self.store.fill_bytes
-    }
-
-    /// Routes streaming instruments into `hub`: counter
-    /// `stream.windows_swept_total`, gauges `stream.spill_bytes`,
-    /// `stream.fill_bytes` and `stream.peak_resident_bytes`. Updated once
-    /// per swept window and on [`record_summary`](Sim::record_summary) —
-    /// never inside kernel loops.
-    pub fn set_metrics(&mut self, hub: MetricsHub) {
-        self.store.metrics = Some(StreamMetrics {
-            windows: hub.counter("stream.windows_swept_total"),
-            spill: hub.gauge("stream.spill_bytes"),
-            fill: hub.gauge("stream.fill_bytes"),
-            peak: hub.gauge("stream.peak_resident_bytes"),
-            hub,
-        });
     }
 
     /// Assembles a bit-exact [`SimSnapshot`] from the current-parity
