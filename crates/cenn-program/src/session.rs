@@ -1,9 +1,8 @@
 //! The execution session: functional simulation feeding the cycle model.
 
 use cenn_arch::{BankTrafficModel, CycleModel, MemorySpec, PeArrayConfig, RunEstimate};
-use cenn_core::{CennModel, CennSim, FuncEval, LayerId, LayerView, ModelError};
-use cenn_obs::{Event, RecorderHandle};
-use fixedpt::Q16_16;
+use cenn_core::{CennModel, CennSim, FuncEval, ModelError};
+use cenn_obs::Event;
 
 use crate::bitstream::{Program, ProgramError};
 
@@ -12,7 +11,9 @@ use crate::bitstream::{Program, ProgramError};
 /// 1. **Program** — the model is compiled to its bitstream image
 ///    ([`Program`]), which is what would be pushed into the chip (§3).
 /// 2. **Execute** — the functional fixed-point simulator evolves the
-///    system while the LUT hierarchy records its access trace.
+///    system while the LUT hierarchy records its access trace. The session
+///    owns it; drive it through [`sim_mut`](Self::sim_mut) (threads,
+///    recorder, tracer, steps).
 /// 3. **Estimate** — the measured `mr_L1`/`mr_L2` feed the cycle-level
 ///    model to produce timing/energy (§6.3's methodology).
 ///
@@ -28,7 +29,7 @@ use crate::bitstream::{Program, ProgramError};
 /// for (layer, grid) in &setup.initial {
 ///     s.sim_mut().set_state_f64(*layer, grid).unwrap();
 /// }
-/// s.run(20);
+/// s.sim_mut().run(20);
 /// let est = s.estimate();
 /// assert!(est.time_per_step_s() > 0.0);
 /// ```
@@ -67,7 +68,8 @@ impl SolverSession {
         &self.sim
     }
 
-    /// The functional simulator (write: set states/inputs).
+    /// The functional simulator (write: states, inputs, threads, recorder,
+    /// tracer; stepping).
     pub fn sim_mut(&mut self) -> &mut CennSim {
         &mut self.sim
     }
@@ -82,51 +84,6 @@ impl SolverSession {
         self.cycle = CycleModel::new(mem, self.cycle.pe_config().clone());
     }
 
-    /// Sets the worker-thread count of the functional simulator's tile
-    /// sweeps. Results (states and LUT statistics) are bit-identical for
-    /// any count — see the determinism contract in `DESIGN.md`.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.sim.set_threads(threads);
-    }
-
-    /// Worker threads of the functional simulator.
-    pub fn threads(&self) -> usize {
-        self.sim.threads()
-    }
-
-    /// Runs `n` functional steps.
-    pub fn run(&mut self, n: u64) {
-        self.sim.run(n);
-    }
-
-    /// Runs `n` functional steps under a [`cenn_guard::Guard`]: the guard
-    /// scrubs LUTs and checkpoints on its cadence, injects any scheduled
-    /// faults, and recovers per its policy. Cycle-level estimation is
-    /// unaffected — it reads the measured miss rates, which include any
-    /// replayed traffic.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`cenn_guard::GuardError`] when the guard aborts or
-    /// cannot recover.
-    pub fn run_guarded(
-        &mut self,
-        guard: &mut cenn_guard::Guard,
-        n: u64,
-    ) -> Result<cenn_guard::GuardReport, cenn_guard::GuardError> {
-        guard.run_with(&mut self.sim, n, |_| {})
-    }
-
-    /// A layer's state (a zero-copy view into the state slab).
-    pub fn state(&self, layer: LayerId) -> LayerView<'_, Q16_16> {
-        self.sim.state(layer)
-    }
-
-    /// Measured miss rates so far.
-    pub fn miss_rates(&self) -> (f64, f64) {
-        self.sim.miss_rates()
-    }
-
     /// Produces the cycle-level estimate at the measured miss rates.
     pub fn estimate(&self) -> RunEstimate {
         self.cycle.estimate(self.sim.model(), self.sim.miss_rates())
@@ -136,31 +93,6 @@ impl SolverSession {
     /// sweeps without re-running the functional simulation).
     pub fn estimate_at(&self, miss_rates: (f64, f64)) -> RunEstimate {
         self.cycle.estimate(self.sim.model(), miss_rates)
-    }
-
-    /// Attaches a metric recorder (builder form): every step emits a
-    /// [`cenn_obs::StepMetrics`] event through it. See
-    /// [`CennSim::set_recorder`].
-    #[must_use]
-    pub fn with_recorder(mut self, recorder: RecorderHandle) -> Self {
-        self.sim.set_recorder(recorder);
-        self
-    }
-
-    /// Attaches a metric recorder in place.
-    pub fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.sim.set_recorder(recorder);
-    }
-
-    /// The attached recorder, if any.
-    pub fn recorder(&self) -> Option<&RecorderHandle> {
-        self.sim.recorder()
-    }
-
-    /// Emits the end-of-run [`cenn_obs::RunSummary`] event (no-op without
-    /// an enabled recorder).
-    pub fn record_summary(&self) {
-        self.sim.record_summary();
     }
 
     /// Emits one [`cenn_obs::MemTraffic`] event for the cycle-level
@@ -233,8 +165,8 @@ mod tests {
         for (layer, grid) in &setup.initial {
             s.sim_mut().set_state_f64(*layer, grid).unwrap();
         }
-        s.run(10);
-        let (mr1, _) = s.miss_rates();
+        s.sim_mut().run(10);
+        let (mr1, _) = s.sim().miss_rates();
         assert!(mr1 > 0.0, "fisher looks up the square LUT");
         let est = s.estimate();
         assert!(est.time_per_step_s() > 0.0);
@@ -247,41 +179,40 @@ mod tests {
         let setup = Fisher::default().build(32, 32).unwrap();
         let mut serial = SolverSession::new(setup.model.clone(), MemorySpec::ddr3()).unwrap();
         let mut par = SolverSession::new(setup.model.clone(), MemorySpec::ddr3()).unwrap();
-        par.set_threads(4);
-        assert_eq!(par.threads(), 4);
+        par.sim_mut().set_threads(4);
+        assert_eq!(par.sim().threads(), 4);
         for (layer, grid) in &setup.initial {
             serial.sim_mut().set_state_f64(*layer, grid).unwrap();
             par.sim_mut().set_state_f64(*layer, grid).unwrap();
         }
-        serial.run(10);
-        par.run(10);
+        serial.sim_mut().run(10);
+        par.sim_mut().run(10);
         for (layer, _) in &setup.initial {
             assert_eq!(
-                serial.state(*layer).as_slice(),
-                par.state(*layer).as_slice()
+                serial.sim().state(*layer).as_slice(),
+                par.sim().state(*layer).as_slice()
             );
         }
-        assert_eq!(serial.miss_rates(), par.miss_rates());
+        assert_eq!(serial.sim().miss_rates(), par.sim().miss_rates());
     }
 
     #[test]
     fn session_recorder_captures_run_and_estimate() {
         let setup = Fisher::default().build(32, 32).unwrap();
         let (handle, reader) = cenn_obs::RecorderHandle::in_memory(true);
-        let mut s = SolverSession::new(setup.model.clone(), MemorySpec::ddr3())
-            .unwrap()
-            .with_recorder(handle);
+        let mut s = SolverSession::new(setup.model.clone(), MemorySpec::ddr3()).unwrap();
+        s.sim_mut().set_recorder(handle);
         for (layer, grid) in &setup.initial {
             s.sim_mut().set_state_f64(*layer, grid).unwrap();
         }
-        s.run(5);
-        s.record_summary();
+        s.sim_mut().run(5);
+        s.sim().record_summary();
         s.record_estimate("ddr3");
         let rec = reader.lock().unwrap();
         assert_eq!(rec.events().len(), 7, "5 steps + summary + estimate");
         let summary = rec.summary().expect("summary present");
         assert_eq!(summary.steps, 5);
-        let (mr1, mr2) = s.miss_rates();
+        let (mr1, mr2) = s.sim().miss_rates();
         assert_eq!(summary.mr_l1, mr1, "summary reproduces measured rates");
         assert_eq!(summary.mr_l2, mr2);
         let mem = rec
@@ -308,7 +239,7 @@ mod tests {
     fn memory_swap_speeds_up_the_estimate() {
         let setup = Fisher::default().build(32, 32).unwrap();
         let mut s = SolverSession::new(setup.model.clone(), MemorySpec::ddr3()).unwrap();
-        s.run(5);
+        s.sim_mut().run(5);
         let ddr = s.estimate().time_per_step_s();
         s.set_memory(MemorySpec::hmc_int());
         let hmc = s.estimate().time_per_step_s();

@@ -68,7 +68,7 @@ fn main() {
     let metrics = metrics_out.map(|path| {
         let sink = JsonlSink::create(&path, canonical).expect("create metrics file");
         let handle = RecorderHandle::new(sink);
-        session.set_recorder(handle.clone());
+        session.sim_mut().set_recorder(handle.clone());
         (handle, path)
     });
 
@@ -76,14 +76,14 @@ fn main() {
     let phi = setup.initial[0].0;
     println!("\ninitial temperature:");
     render(&session.sim().state_f64(phi));
-    session.run(150);
+    session.sim_mut().run(150);
     println!("\nafter 150 steps (t = {:.1}):", session.sim().time());
     render(&session.sim().state_f64(phi));
 
     // 4. Architecture estimates across memory systems.
     println!(
         "\nper-step estimates (measured miss rates {:?}):",
-        session.miss_rates()
+        session.sim().miss_rates()
     );
     println!(
         "{:<10} {:>12} {:>12} {:>10} {:>10}",
@@ -109,7 +109,7 @@ fn main() {
     }
 
     if let Some((handle, path)) = &metrics {
-        session.record_summary();
+        session.sim().record_summary();
         handle.flush().expect("flush metrics file");
         println!("\nmetrics: wrote JSONL trace to {path}");
     }

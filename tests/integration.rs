@@ -20,7 +20,7 @@ fn every_benchmark_runs_end_to_end_on_ddr3() {
         for (layer, grid) in &setup.inputs {
             session.sim_mut().set_input_f64(*layer, grid).unwrap();
         }
-        session.run(10);
+        session.sim_mut().run(10);
         let est = session.estimate();
         assert!(
             est.time_per_step_s() > 0.0,
@@ -90,8 +90,8 @@ fn measured_miss_rates_feed_plausible_estimates() {
     for (layer, grid) in &setup.initial {
         session.sim_mut().set_state_f64(*layer, grid).unwrap();
     }
-    session.run(20);
-    let (mr1, mr2) = session.miss_rates();
+    session.sim_mut().run(20);
+    let (mr1, mr2) = session.sim().miss_rates();
     assert!((0.0..=1.0).contains(&mr1));
     assert!((0.0..=1.0).contains(&mr2));
     // The solver touches the LUT every cell/step: rates must be measured,

@@ -183,8 +183,8 @@ fn quickstart_metrics_match_committed_fixture() {
     }
     let path = std::env::temp_dir().join("cenn_obs_quickstart_golden.jsonl");
     let handle = RecorderHandle::new(JsonlSink::create(&path, true).unwrap());
-    session.set_recorder(handle.clone());
-    session.run(150);
+    session.sim_mut().set_recorder(handle.clone());
+    session.sim_mut().run(150);
     for mem in [
         MemorySpec::ddr3(),
         MemorySpec::hmc_ext(),
@@ -194,7 +194,7 @@ fn quickstart_metrics_match_committed_fixture() {
         session.set_memory(mem);
         session.record_estimate(&format!("heat/{name}"));
     }
-    session.record_summary();
+    session.sim().record_summary();
     handle.flush().unwrap();
     let got = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).ok();
