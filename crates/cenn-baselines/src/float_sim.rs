@@ -6,7 +6,7 @@ use cenn_core::{
     Boundary, CennModel, ExecEngine, Grid, LayerId, LayerKind, LayerView, ModelError, SoaGrid,
     TemplateKind, WeightExpr,
 };
-use cenn_equations::SystemSetup;
+use cenn_equations::{PostStepRule, SystemSetup};
 use cenn_obs::{
     Event, LutLevel, LutLevelMetrics, Phase, RecorderHandle, RunSummary, StepMetrics, TraceHandle,
 };
@@ -40,10 +40,12 @@ struct PlanLayer {
     offsets: Vec<WeightExpr>,
 }
 
-/// Floating-point simulator over the same model/templates/functions as the
-/// fixed-point [`cenn_core::CennSim`], with **exact** nonlinear function
-/// evaluation (no LUT) — the numerical reference role of the paper's GPU
-/// runs.
+/// Floating-point solver for a [`SystemSetup`] over the same
+/// model/templates/functions as the fixed-point [`cenn_core::CennSim`], with
+/// **exact** nonlinear function evaluation (no LUT) — the numerical
+/// reference role of the paper's GPU runs. It loads the setup's initial
+/// conditions and inputs and applies its post-step rule (spike resets)
+/// after every step: the counterpart of [`cenn_equations::FixedRunner`].
 ///
 /// Dynamic template weights use the *unquantized* `f64` scale values would
 /// be ideal, but the model stores Q16.16-quantized constants; both solvers
@@ -54,8 +56,10 @@ struct PlanLayer {
 /// fixed-point simulator ([`SoaGrid`]): one contiguous `f64` span per
 /// layer, so the two solvers stream memory identically in benchmarks.
 #[derive(Debug, Clone)]
-pub struct FloatSim {
+pub struct FloatRunner {
     model: CennModel,
+    post_step: Option<PostStepRule>,
+    observed: Vec<(LayerId, &'static str)>,
     plan: Vec<PlanLayer>,
     states: SoaGrid<f64>,
     scratch: SoaGrid<f64>,
@@ -94,12 +98,27 @@ fn traced<T>(tracer: &Option<TraceHandle>, phase: Phase, f: impl FnOnce() -> T) 
     }
 }
 
-impl FloatSim {
-    /// Creates a floating-point simulator for `model`.
-    pub fn new(model: CennModel, precision: Precision) -> Self {
+impl FloatRunner {
+    /// Creates a runner for `setup` at the given precision, loading its
+    /// initial states and inputs.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::ShapeMismatch`] when a setup grid does not match the
+    /// model's shape.
+    pub fn new(setup: SystemSetup, precision: Precision) -> Result<Self, ModelError> {
+        let SystemSetup {
+            model,
+            initial,
+            inputs,
+            post_step,
+            observed,
+        } = setup;
         let plan = compile(&model);
         let blank = SoaGrid::new(model.n_layers(), model.rows(), model.cols(), 0.0);
-        Self {
+        let mut runner = Self {
+            post_step,
+            observed,
             plan,
             states: blank.clone(),
             scratch: blank.clone(),
@@ -115,7 +134,14 @@ impl FloatSim {
             run_nanos: 0,
             last_residual: 0.0,
             model,
+        };
+        for (layer, grid) in &initial {
+            load(&mut runner.states, *layer, grid, precision)?;
         }
+        for (layer, grid) in &inputs {
+            load(&mut runner.inputs, *layer, grid, precision)?;
+        }
+        Ok(runner)
     }
 
     /// Attaches a metric recorder: every step emits one
@@ -140,11 +166,6 @@ impl FloatSim {
     /// thread-count independent.
     pub fn set_tracer(&mut self, tracer: TraceHandle) {
         self.tracer = Some(tracer);
-    }
-
-    /// Detaches the tracer.
-    pub fn clear_tracer(&mut self) {
-        self.tracer = None;
     }
 
     /// The attached tracer, if any.
@@ -235,59 +256,10 @@ impl FloatSim {
         self.states.layer(layer.index())
     }
 
-    /// Mutable access to a layer's state span (post-step rules).
-    pub fn state_mut(&mut self, layer: LayerId) -> &mut [f64] {
-        self.states.layer_mut(layer.index())
-    }
-
-    /// Sets a layer's state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::ShapeMismatch`] on shape mismatch.
-    pub fn set_state(&mut self, layer: LayerId, grid: Grid<f64>) -> Result<(), ModelError> {
-        self.check_shape(&grid)?;
-        let grid = self.quantize(grid);
-        self.states
-            .layer_mut(layer.index())
-            .copy_from_slice(grid.as_slice());
-        Ok(())
-    }
-
-    /// Sets a layer's external input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::ShapeMismatch`] on shape mismatch.
-    pub fn set_input(&mut self, layer: LayerId, grid: Grid<f64>) -> Result<(), ModelError> {
-        self.check_shape(&grid)?;
-        let grid = self.quantize(grid);
-        self.inputs
-            .layer_mut(layer.index())
-            .copy_from_slice(grid.as_slice());
-        Ok(())
-    }
-
-    fn check_shape(&self, g: &Grid<f64>) -> Result<(), ModelError> {
-        if g.rows() != self.model.rows() || g.cols() != self.model.cols() {
-            return Err(ModelError::ShapeMismatch {
-                expected: (self.model.rows(), self.model.cols()),
-                got: (g.rows(), g.cols()),
-            });
-        }
-        Ok(())
-    }
-
-    fn quantize(&self, mut g: Grid<f64>) -> Grid<f64> {
-        if self.precision == Precision::F32 {
-            g.map_inplace(|v| v as f32 as f64);
-        }
-        g
-    }
-
     /// Advances one step (Euler or Heun, matching the model's
-    /// [`cenn_core::Integrator`]).
-    pub fn step(&mut self) {
+    /// [`cenn_core::Integrator`]) and applies the post-step rule; returns
+    /// the cells the rule fired on (spikes), or 0 when there is no rule.
+    pub fn step(&mut self) -> usize {
         // The step uses the *quantized* dt: the hardware multiplies by the
         // Q16.16 word, so the discrete map being solved is defined by that
         // value — the reference must integrate the same map or a
@@ -373,6 +345,17 @@ impl FloatSim {
                 }));
             }
         }
+        let Some(rule) = self.post_step else {
+            return 0;
+        };
+        // Post-step rules keep their per-grid signature; convert around
+        // the slab (rules run rarely relative to sweeps).
+        let mut grids = self.states.to_grids();
+        let fired = rule.apply_f64(&mut grids);
+        for (i, g) in grids.iter().enumerate() {
+            self.states.layer_mut(i).copy_from_slice(g.as_slice());
+        }
+        fired
     }
 
     fn algebraic_pass(&mut self) {
@@ -442,11 +425,17 @@ impl FloatSim {
         }
     }
 
-    /// Runs `n` steps.
-    pub fn run(&mut self, n: u64) {
-        for _ in 0..n {
-            self.step();
-        }
+    /// Runs `n` steps; returns total fired cells.
+    pub fn run(&mut self, n: u64) -> usize {
+        (0..n).map(|_| self.step()).sum()
+    }
+
+    /// Observed layer states with display names.
+    pub fn observed_states(&self) -> Vec<(&'static str, Grid<f64>)> {
+        self.observed
+            .iter()
+            .map(|(id, name)| (*name, self.state(*id).to_grid()))
+            .collect()
     }
 
     #[inline]
@@ -514,6 +503,29 @@ fn round_to(precision: Precision, v: f64) -> f64 {
     }
 }
 
+/// Copies `grid` into `layer` of `slab`, rounded to `precision`.
+fn load(
+    slab: &mut SoaGrid<f64>,
+    layer: LayerId,
+    grid: &Grid<f64>,
+    precision: Precision,
+) -> Result<(), ModelError> {
+    if (grid.rows(), grid.cols()) != (slab.rows(), slab.cols()) {
+        return Err(ModelError::ShapeMismatch {
+            expected: (slab.rows(), slab.cols()),
+            got: (grid.rows(), grid.cols()),
+        });
+    }
+    for (dst, &v) in slab
+        .layer_mut(layer.index())
+        .iter_mut()
+        .zip(grid.as_slice())
+    {
+        *dst = round_to(precision, v);
+    }
+    Ok(())
+}
+
 fn compile(model: &CennModel) -> Vec<PlanLayer> {
     let boundary_of: Vec<Boundary> = model
         .layer_ids()
@@ -550,97 +562,6 @@ fn compile(model: &CennModel) -> Vec<PlanLayer> {
             }
         })
         .collect()
-}
-
-/// Drives a [`cenn_equations::SystemSetup`] on the floating-point
-/// simulator, applying initial conditions, inputs, and the post-step rule —
-/// the counterpart of [`cenn_equations::FixedRunner`].
-#[derive(Debug, Clone)]
-pub struct FloatRunner {
-    sim: FloatSim,
-    setup: SystemSetup,
-}
-
-impl FloatRunner {
-    /// Creates a runner at the given precision.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from loading the setup's grids.
-    pub fn new(setup: SystemSetup, precision: Precision) -> Result<Self, ModelError> {
-        let mut sim = FloatSim::new(setup.model.clone(), precision);
-        for (layer, grid) in &setup.initial {
-            sim.set_state(*layer, grid.clone())?;
-        }
-        for (layer, grid) in &setup.inputs {
-            sim.set_input(*layer, grid.clone())?;
-        }
-        Ok(Self { sim, setup })
-    }
-
-    /// The underlying simulator.
-    pub fn sim(&self) -> &FloatSim {
-        &self.sim
-    }
-
-    /// Sets the worker-thread count for the evaluation sweeps.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.sim.set_threads(threads);
-    }
-
-    /// Attaches a metric recorder to the underlying simulator.
-    pub fn set_recorder(&mut self, recorder: RecorderHandle) {
-        self.sim.set_recorder(recorder);
-    }
-
-    /// Attaches a span tracer to the underlying simulator.
-    pub fn set_tracer(&mut self, tracer: TraceHandle) {
-        self.sim.set_tracer(tracer);
-    }
-
-    /// Emits one `span_summary` event per active phase (no-op without
-    /// both a tracer and an enabled recorder).
-    pub fn record_span_summaries(&self) {
-        self.sim.record_span_summaries();
-    }
-
-    /// Emits the end-of-run [`cenn_obs::RunSummary`] event (no-op without
-    /// an enabled recorder).
-    pub fn record_summary(&self) {
-        self.sim.record_summary();
-    }
-
-    /// Advances one step (plus post-step rule); returns fired cells.
-    pub fn step(&mut self) -> usize {
-        self.sim.step();
-        match self.setup.post_step {
-            None => 0,
-            Some(rule) => {
-                // Post-step rules keep their per-grid signature; convert
-                // around the slab (rules run rarely relative to sweeps).
-                let mut grids = self.sim.states.to_grids();
-                let fired = rule.apply_f64(&mut grids);
-                for (i, g) in grids.iter().enumerate() {
-                    self.sim.states.layer_mut(i).copy_from_slice(g.as_slice());
-                }
-                fired
-            }
-        }
-    }
-
-    /// Runs `n` steps; returns total fired cells.
-    pub fn run(&mut self, n: u64) -> usize {
-        (0..n).map(|_| self.step()).sum()
-    }
-
-    /// Observed layer states with display names.
-    pub fn observed_states(&self) -> Vec<(&'static str, Grid<f64>)> {
-        self.setup
-            .observed
-            .iter()
-            .map(|(id, name)| (*name, self.sim.state(*id).to_grid()))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -699,10 +620,10 @@ mod tests {
                 let mut par = FloatRunner::new(setup.clone(), Precision::F64).unwrap();
                 par.set_threads(threads);
                 par.run(60);
-                for (i, s) in serial.sim().states.iter().enumerate() {
+                for (i, s) in serial.states.iter().enumerate() {
                     assert_eq!(
                         s.as_slice(),
-                        par.sim().states.layer_slice(i),
+                        par.states.layer_slice(i),
                         "threads={threads} layer={i}"
                     );
                 }
@@ -745,13 +666,13 @@ mod tests {
         assert_eq!(tracer.with(|c| c.phase_count(Phase::TemplateApply)), 5);
         assert_eq!(tracer.with(|c| c.phase_count(Phase::Integrate)), 5);
         assert_eq!(tracer.with(|c| c.phase_count(Phase::LutLookup)), 0);
-        assert!(runner.sim().tracer().is_some());
+        assert!(runner.tracer().is_some());
 
         let izh = Izhikevich::default().build(2, 2).unwrap();
         let mut runner = FloatRunner::new(izh, Precision::F64).unwrap();
         let tracer = TraceHandle::histograms_only();
         runner.set_tracer(tracer.clone());
-        let per_pass = u64::from(runner.sim().model().integrator().passes());
+        let per_pass = u64::from(runner.model().integrator().passes());
         runner.run(3);
         assert_eq!(
             tracer.with(|c| c.phase_count(Phase::TemplateApply)),
@@ -774,17 +695,18 @@ mod tests {
 
     #[test]
     fn shape_mismatch_rejected() {
-        let setup = Heat::default().build(8, 8).unwrap();
-        let mut sim = FloatSim::new(setup.model.clone(), Precision::F64);
-        assert!(sim
-            .set_state(setup.initial[0].0, Grid::new(4, 4, 0.0))
-            .is_err());
+        let mut setup = Heat::default().build(8, 8).unwrap();
+        setup.initial[0].1 = Grid::new(4, 4, 0.0);
+        assert!(matches!(
+            FloatRunner::new(setup, Precision::F64),
+            Err(ModelError::ShapeMismatch { .. })
+        ));
     }
 
     #[test]
     fn time_and_steps_advance() {
         let setup = Heat::default().build(4, 4).unwrap();
-        let mut sim = FloatSim::new(setup.model, Precision::F64);
+        let mut sim = FloatRunner::new(setup, Precision::F64).unwrap();
         sim.run(10);
         assert_eq!(sim.steps(), 10);
         assert!((sim.time() - 1.0).abs() < 1e-12);

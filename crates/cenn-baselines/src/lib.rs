@@ -3,7 +3,7 @@
 //!
 //! Two roles, mirroring the paper's methodology:
 //!
-//! * **Accuracy reference (Fig. 11).** [`FloatSim`] evolves the *same*
+//! * **Accuracy reference (Fig. 11).** [`FloatRunner`] evolves the *same*
 //!   [`cenn_core::CennModel`] in floating point — [`Precision::F32`] plays
 //!   the paper's "GPU (32bit floating-point)" comparator, and
 //!   [`Precision::F64`] is the ground truth used to split total error into
@@ -22,5 +22,5 @@ pub mod accuracy;
 mod float_sim;
 mod perf_model;
 
-pub use float_sim::{FloatRunner, FloatSim, Precision};
+pub use float_sim::{FloatRunner, Precision};
 pub use perf_model::{gtx850_gpu, mobile_cpu, ComputeDevice, StencilWorkload};
