@@ -3,11 +3,10 @@
 
 use std::fmt::Write as _;
 
-use cenn::equations::FixedRunner;
 use cenn::obs::trace::TraceHandle;
 use cenn::obs::SpanSummary;
 
-use crate::cli::{build_profile_setup, parse_size, system_default_steps, CliError};
+use crate::cli::{build_profile_setup, build_runner, parse_size, system_default_steps, CliError};
 
 /// Parsed options for `profile`.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,21 +113,8 @@ pub fn cmd_profile(args: &[String]) -> Result<String, CliError> {
         opts.steps
     };
     let setup = build_profile_setup(&opts.system, opts.grid)?;
-    let mut runner = FixedRunner::new(setup).map_err(|e| err(format!("simulator setup: {e}")))?;
-    runner.set_threads(opts.threads);
-    let spool = opts.memory_budget.map(|budget| {
-        let dir = std::env::temp_dir().join(format!(
-            "cenn_profile_spool_{}_{}",
-            std::process::id(),
-            opts.system
-        ));
-        (budget, dir)
-    });
-    if let Some((budget, dir)) = &spool {
-        runner
-            .set_memory_budget(*budget, dir)
-            .map_err(|e| err(format!("--memory-budget: {e}")))?;
-    }
+    let (mut runner, _spool) =
+        build_runner(setup, &opts.system, opts.threads, opts.memory_budget, None)?;
     // Spans are only retained when they will be exported; histograms are
     // enough for the attribution table.
     let tracer = if opts.trace_out.is_some() {
@@ -143,14 +129,11 @@ pub fn cmd_profile(args: &[String]) -> Result<String, CliError> {
     let mem = MemLine {
         peak_resident: live.peak_resident_bytes(),
         spill: live.spill_bytes(),
-        windows: spool
-            .as_ref()
+        windows: opts
+            .memory_budget
             .map(|_| (live.chunk_rows(), live.n_windows())),
     };
     let summaries = tracer.summaries();
-    if let Some((_, dir)) = &spool {
-        let _ = std::fs::remove_dir_all(dir);
-    }
     if let Some(path) = &opts.trace_out {
         tracer
             .write_chrome_trace(path)
