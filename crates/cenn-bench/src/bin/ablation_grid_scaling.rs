@@ -5,7 +5,7 @@
 use cenn::arch::{CycleModel, MemorySpec, PeArrayConfig};
 use cenn::baselines::{gtx850_gpu, mobile_cpu, StencilWorkload};
 use cenn::equations::{DynamicalSystem, ReactionDiffusion};
-use cenn_bench::{measured_miss_rates, rule};
+use cenn_bench::{measured_summary, rule};
 
 fn main() {
     println!("Ablation E — reaction-diffusion step time vs grid size\n");
@@ -16,7 +16,8 @@ fn main() {
     rule(86);
     // Miss rates are state-distribution-driven: measure once on a probe.
     let probe = ReactionDiffusion::default().build(32, 32).unwrap();
-    let mr = measured_miss_rates(&probe, 5, 15);
+    let probed = measured_summary(&probe, 5, 15, None);
+    let mr = (probed.mr_l1, probed.mr_l2);
     let pe = PeArrayConfig::default();
     let ddr = CycleModel::new(MemorySpec::ddr3(), pe.clone());
     let int = CycleModel::new(MemorySpec::hmc_int(), pe.clone());

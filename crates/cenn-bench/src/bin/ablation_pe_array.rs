@@ -3,7 +3,7 @@
 
 use cenn::arch::{CycleModel, MemorySpec, PeArrayConfig};
 use cenn::equations::{DynamicalSystem, HodgkinHuxley, ReactionDiffusion};
-use cenn_bench::{measured_miss_rates, rule};
+use cenn_bench::{measured_summary, rule};
 
 fn main() {
     println!("Ablation B — PE-array geometry sweep (HMC-INT, 128x128 grids)\n");
@@ -19,7 +19,8 @@ fn main() {
             HodgkinHuxley::default().build(32, 32).unwrap(),
         ),
     ] {
-        let mr = measured_miss_rates(&probe, 5, 10);
+        let probed = measured_summary(&probe, 5, 10, None);
+        let mr = (probed.mr_l1, probed.mr_l2);
         println!(
             "benchmark: {name} (mr_L1 = {:.3}, mr_L2 = {:.3})",
             mr.0, mr.1

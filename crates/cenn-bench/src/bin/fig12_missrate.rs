@@ -8,7 +8,7 @@
 use cenn::core::LutConfig;
 use cenn::equations::{DynamicalSystem, NavierStokes, ReactionDiffusion, SystemSetup};
 use cenn::obs::Event;
-use cenn_bench::{recorded_summary_obs, rule, BenchObs};
+use cenn_bench::{measured_summary, rule, BenchObs};
 
 fn measure(setup: &SystemSetup, l1: usize, l2: usize, obs: &BenchObs) -> (f64, f64, f64) {
     let cfg = LutConfig {
@@ -21,7 +21,7 @@ fn measure(setup: &SystemSetup, l1: usize, l2: usize, obs: &BenchObs) -> (f64, f
     // The rates come back through the observability layer's run_summary
     // event (5-step warm-up, stats reset, 25 measured steps) — tested
     // bit-identical to the direct LutStats counters.
-    let summary = recorded_summary_obs(&s, 5, 25, obs.tracer());
+    let summary = measured_summary(&s, 5, 25, obs.tracer());
     obs.record(&Event::RunSummary(summary.clone()));
     (summary.mr_l1, summary.mr_l2, summary.mr_combined)
 }

@@ -5,7 +5,7 @@
 use cenn::arch::{CycleModel, MemorySpec, PeArrayConfig};
 use cenn::baselines::{gtx850_gpu, mobile_cpu, StencilWorkload};
 use cenn::equations::all_benchmarks;
-use cenn_bench::{geomean, measured_miss_rates, probe_and_perf, rule, PERF_SIDE};
+use cenn_bench::{geomean, measured_summary, probe_and_perf, rule, PERF_SIDE};
 
 fn main() {
     println!(
@@ -24,7 +24,8 @@ fn main() {
     let mut sp_gpu = Vec::new();
     for sys in all_benchmarks() {
         let (probe, perf) = probe_and_perf(sys.as_ref());
-        let mr = measured_miss_rates(&probe, 5, 15);
+        let probed = measured_summary(&probe, 5, 15, None);
+        let mr = (probed.mr_l1, probed.mr_l2);
         let est = cycle.estimate(&perf.model, mr);
         let w = StencilWorkload::from_model(&perf.model);
         let t_cenn = est.time_per_step_s();

@@ -6,7 +6,7 @@ use cenn::arch::{CycleModel, MemorySpec, PeArrayConfig};
 use cenn::baselines::{gtx850_gpu, StencilWorkload};
 use cenn::equations::all_benchmarks;
 use cenn::obs::{Event, RecorderHandle};
-use cenn_bench::{geomean, probe_and_perf, recorded_summary_obs, rule, BenchObs, PERF_SIDE};
+use cenn_bench::{geomean, measured_summary, probe_and_perf, rule, BenchObs, PERF_SIDE};
 
 fn main() {
     let obs = BenchObs::from_cli();
@@ -33,7 +33,7 @@ fn main() {
     for sys in all_benchmarks() {
         let (probe, perf) = probe_and_perf(sys.as_ref());
         // Miss rates come back through the recorded run_summary event.
-        let summary = recorded_summary_obs(&probe, 5, 15, obs.tracer());
+        let summary = measured_summary(&probe, 5, 15, obs.tracer());
         obs.record(&Event::RunSummary(summary.clone()));
         let mr = (summary.mr_l1, summary.mr_l2);
         let est_ddr = ddr.estimate(&perf.model, mr);

@@ -3,7 +3,7 @@
 
 use cenn::arch::{CycleModel, EnergyModel, MemorySpec, PeArrayConfig, GPU_POWER_W};
 use cenn::equations::{DynamicalSystem, Izhikevich};
-use cenn_bench::{measured_miss_rates, rule};
+use cenn_bench::{measured_summary, rule};
 
 fn main() {
     let m = EnergyModel::default();
@@ -41,7 +41,8 @@ fn main() {
     println!("\nSystem power with HMC-INT (Izhikevich workload, §6.5):");
     let setup = Izhikevich::default().build(128, 128).unwrap();
     let probe = Izhikevich::default().build(32, 32).unwrap();
-    let mr = measured_miss_rates(&probe, 5, 20);
+    let probed = measured_summary(&probe, 5, 20, None);
+    let mr = (probed.mr_l1, probed.mr_l2);
     let est =
         CycleModel::new(MemorySpec::hmc_int(), PeArrayConfig::default()).estimate(&setup.model, mr);
     let activity = est.dram_activity().min(1.0);

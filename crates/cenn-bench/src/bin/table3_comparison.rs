@@ -4,7 +4,7 @@
 
 use cenn::arch::{prior_platforms, CycleModel, EnergyModel, MemorySpec, PeArrayConfig};
 use cenn::equations::{DynamicalSystem, ReactionDiffusion};
-use cenn_bench::{measured_miss_rates, rule};
+use cenn_bench::{measured_summary, rule};
 
 fn main() {
     println!("Table 3 — CeNN hardware platforms\n");
@@ -45,7 +45,8 @@ fn main() {
     let energy = EnergyModel::default();
     let setup = ReactionDiffusion::default().build(128, 128).unwrap();
     let probe = ReactionDiffusion::default().build(32, 32).unwrap();
-    let mr = measured_miss_rates(&probe, 5, 20);
+    let probed = measured_summary(&probe, 5, 20, None);
+    let mr = (probed.mr_l1, probed.mr_l2);
     let est =
         CycleModel::new(MemorySpec::hmc_int(), PeArrayConfig::default()).estimate(&setup.model, mr);
     let gops = est.achieved_gops();

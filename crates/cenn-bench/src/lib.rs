@@ -15,7 +15,7 @@
 //! | `table3_comparison` | Table 3 cross-platform comparison |
 
 use cenn::equations::{DynamicalSystem, FixedRunner, SystemSetup};
-use cenn::obs::{Event, InMemoryRecorder, RecorderHandle, TraceHandle};
+use cenn::obs::{Event, InMemoryRecorder, RecorderHandle, RunSummary, TraceHandle};
 use std::sync::{Arc, Mutex};
 
 /// Default grid side for the performance experiments (kept at a size the
@@ -27,41 +27,26 @@ pub const PERF_SIDE: usize = 128;
 /// size, drives LUT locality).
 pub const PROBE_SIDE: usize = 32;
 
-/// Runs the functional simulator briefly and returns the measured
-/// `(mr_L1, mr_L2)` after a warm-up — the paper's "extracted from
-/// \[functional\] simulation and fed to the simulator" step (§6.3).
-pub fn measured_miss_rates(setup: &SystemSetup, warmup: u64, steps: u64) -> (f64, f64) {
-    let mut runner = FixedRunner::new(setup.clone()).expect("runner");
-    runner.run(warmup);
-    runner.reset_lut_stats();
-    runner.run(steps);
-    runner.miss_rates()
-}
-
-/// Same probe protocol as [`measured_miss_rates`], but the numbers flow
-/// through the observability layer: an in-memory recorder captures the
-/// solver's `run_summary` event and the harness reads the rates back out
-/// of it. Guaranteed (and tested) to match the direct counters exactly.
-pub fn recorded_summary(setup: &SystemSetup, warmup: u64, steps: u64) -> cenn::obs::RunSummary {
-    recorded_summary_obs(setup, warmup, steps, None)
-}
-
-/// [`recorded_summary`] with an optional span tracer attached to the
-/// solver for the measured steps, so figure binaries invoked with
-/// `--trace-out` capture real sweep/LUT spans alongside their tables.
-pub fn recorded_summary_obs(
+/// Runs the functional simulator for `warmup` steps, resets the LUT
+/// statistics, runs `steps` more and returns the `run_summary` event the
+/// solver recorded for them. Its `mr_l1`/`mr_l2` are the measured miss
+/// rates — the paper's "extracted from \[functional\] simulation and fed
+/// to the simulator" step (§6.3) — bit-identical to the runner's own
+/// counters. An optional span tracer rides along, so figure binaries
+/// invoked with `--trace-out` capture real sweep/LUT spans.
+pub fn measured_summary(
     setup: &SystemSetup,
     warmup: u64,
     steps: u64,
     tracer: Option<TraceHandle>,
-) -> cenn::obs::RunSummary {
+) -> RunSummary {
     let mut runner = FixedRunner::new(setup.clone()).expect("runner");
     if let Some(tr) = tracer {
         runner.set_tracer(tr);
     }
     runner.run(warmup);
     runner.reset_lut_stats();
-    let (handle, reader) = cenn::obs::RecorderHandle::in_memory(true);
+    let (handle, reader) = RecorderHandle::in_memory(true);
     runner.set_recorder(handle);
     runner.run(steps);
     runner.record_summary();
@@ -165,13 +150,6 @@ impl BenchObs {
     }
 }
 
-/// `(mr_L1, mr_L2, mr_L1*mr_L2)` read back from the recorded
-/// `run_summary` event of [`recorded_summary`].
-pub fn recorded_miss_rates(setup: &SystemSetup, warmup: u64, steps: u64) -> (f64, f64, f64) {
-    let s = recorded_summary(setup, warmup, steps);
-    (s.mr_l1, s.mr_l2, s.mr_combined)
-}
-
 /// Geometric mean (the paper's "on average" for speedups).
 pub fn geomean(values: &[f64]) -> f64 {
     (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
@@ -204,20 +182,31 @@ mod tests {
     #[test]
     fn miss_rate_probe_returns_valid_rates() {
         let setup = Fisher::default().build(16, 16).unwrap();
-        let (mr1, mr2) = measured_miss_rates(&setup, 2, 5);
-        assert!((0.0..=1.0).contains(&mr1));
-        assert!((0.0..=1.0).contains(&mr2));
+        let s = measured_summary(&setup, 2, 5, None);
+        assert!((0.0..=1.0).contains(&s.mr_l1));
+        assert!((0.0..=1.0).contains(&s.mr_l2));
+        assert!((0.0..=1.0).contains(&s.mr_combined));
     }
 
     #[test]
     fn recorder_path_matches_direct_counters_exactly() {
         let setup = Fisher::default().build(16, 16).unwrap();
-        let (mr1, mr2) = measured_miss_rates(&setup, 2, 5);
-        let (r1, r2, comb) = recorded_miss_rates(&setup, 2, 5);
-        assert_eq!(mr1.to_bits(), r1.to_bits(), "mr_L1 must be bit-identical");
-        assert_eq!(mr2.to_bits(), r2.to_bits(), "mr_L2 must be bit-identical");
-        assert!((0.0..=1.0).contains(&comb));
-        let s = recorded_summary(&setup, 2, 5);
+        let mut runner = FixedRunner::new(setup.clone()).unwrap();
+        runner.run(2);
+        runner.reset_lut_stats();
+        runner.run(5);
+        let (mr1, mr2) = runner.miss_rates();
+        let s = measured_summary(&setup, 2, 5, None);
+        assert_eq!(
+            mr1.to_bits(),
+            s.mr_l1.to_bits(),
+            "mr_L1 must be bit-identical"
+        );
+        assert_eq!(
+            mr2.to_bits(),
+            s.mr_l2.to_bits(),
+            "mr_L2 must be bit-identical"
+        );
         assert_eq!(s.steps, 7, "warmup + measured steps");
         assert!(s.accesses > 0);
     }
@@ -242,7 +231,7 @@ mod tests {
         ])
         .unwrap();
         let setup = Fisher::default().build(12, 12).unwrap();
-        let summary = recorded_summary_obs(&setup, 1, 3, obs.tracer());
+        let summary = measured_summary(&setup, 1, 3, obs.tracer());
         obs.record(&Event::RunSummary(summary));
         obs.finish().unwrap();
         let text = std::fs::read_to_string(&metrics).unwrap();
